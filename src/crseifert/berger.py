@@ -10,7 +10,6 @@ which is what reconciles nu + 3*eta0 with the squared curvature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactq import PiLaurent
@@ -19,26 +18,11 @@ from .exactq import PiLaurent
 FRAME_VOLUME = PiLaurent.pi_power(2, 16)
 
 
-@dataclass(frozen=True)
-class BergerParams:
-    """Squared scaling parameters; lambda2 for the two-parameter limit
-    family, optionally all three for the full diagonal family."""
-
-    lambda2: Fraction
-    l1: Fraction | None = None
-    l2: Fraction | None = None
-    l3: Fraction | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambda2", Fraction(self.lambda2))
-        for name in ("l1", "l2", "l3"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, Fraction(v))
-                if getattr(self, name) <= 0:
-                    raise ValueError(f"{name} must be positive, got {v}")
-        if self.lambda2 <= 0:
-            raise ValueError(f"lambda^2 must be positive, got {self.lambda2}")
+def _positive(lambda2) -> Fraction:
+    l = Fraction(lambda2)
+    if l <= 0:
+        raise ValueError(f"lambda^2 must be positive, got {l}")
+    return l
 
 
 def hitchin_eta(l1, l2, l3) -> Fraction:
@@ -57,34 +41,26 @@ def hitchin_eta(l1, l2, l3) -> Fraction:
 def berger_eta0(lambda2) -> Fraction:
     """Renormalized eta invariant of the squashed sphere:
     (2/(3*lambda^2)) * (-lambda^4 + 3*lambda^2 - 1)."""
-    l = Fraction(lambda2)
-    if l <= 0:
-        raise ValueError(f"lambda^2 must be positive, got {l}")
+    l = _positive(lambda2)
     return Fraction(2, 3) / l * (-l * l + 3 * l - 1)
 
 
 def berger_webster(lambda2) -> tuple:
     """Squared Webster curvature and torsion of the squashed sphere:
     R^2 = (1 + lambda^2)^2 / (4*lambda^2), |tau|^2 = (1 - lambda^2)^2 / (4*lambda^2)."""
-    l = Fraction(lambda2)
-    if l <= 0:
-        raise ValueError(f"lambda^2 must be positive, got {l}")
+    l = _positive(lambda2)
     return (1 + l) ** 2 / (4 * l), (1 - l) ** 2 / (4 * l)
 
 
 def berger_mu(lambda2) -> Fraction:
     """mu-invariant of the squashed sphere: -1 + 3*(1 - lambda^2)^2/(4*lambda^2)."""
-    l = Fraction(lambda2)
-    if l <= 0:
-        raise ValueError(f"lambda^2 must be positive, got {l}")
+    l = _positive(lambda2)
     return -1 + 3 * (1 - l) ** 2 / (4 * l)
 
 
 def berger_nu(lambda2) -> Fraction:
     """nu-invariant of the squashed sphere: -1 + 9*(1 - lambda^2)^2/(4*lambda^2)."""
-    l = Fraction(lambda2)
-    if l <= 0:
-        raise ValueError(f"lambda^2 must be positive, got {l}")
+    l = _positive(lambda2)
     return -1 + 9 * (1 - l) ** 2 / (4 * l)
 
 
@@ -100,6 +76,27 @@ def hitchin_eta0_limit(lambda2) -> Fraction:
     nodes = [Fraction(m) for m in (1, 2, 3, 4)]
     values = [L * hitchin_eta(1, l, L) for L in nodes]
     return _poly_coefficient(nodes, values, degree=3, index=1)
+
+
+def identities(lambda2) -> dict:
+    """The squashed-sphere invariants at lambda^2 and the exact identities
+    tying them together: eta0, nu, mu, R2, tau2, then the booleans
+    id_nu_plus_3eta0_is_R2, id_nu_is_3mu_plus_2 and id_limit_matches."""
+    l = _positive(lambda2)
+    eta0 = berger_eta0(l)
+    nu = berger_nu(l)
+    mu = berger_mu(l)
+    r2, tau2 = berger_webster(l)
+    return {
+        "eta0": eta0,
+        "nu": nu,
+        "mu": mu,
+        "R2": r2,
+        "tau2": tau2,
+        "id_nu_plus_3eta0_is_R2": nu + 3 * eta0 == r2,
+        "id_nu_is_3mu_plus_2": nu == 3 * mu + 2,
+        "id_limit_matches": hitchin_eta0_limit(l) == eta0,
+    }
 
 
 def _poly_coefficient(xs, ys, degree: int, index: int) -> Fraction:

@@ -3,16 +3,13 @@
 Exit codes: 0 success, 1 verify-battery assertion failure, 2 schema
 violation in an input file or literal, 3 domain error (e.g. non-negative
 degree, failed gcd condition).  All output is deterministic: identical
-inputs yield byte-identical output.  Sweeps honor the CRSF_THREADS
-environment variable as a worker-pool cap; rows are always emitted in
-sorted parameter order regardless of completion order.
+inputs yield byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -39,19 +36,6 @@ def fmt_value(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _pool_map(fn, items):
-    items = list(items)
-    try:
-        workers = int(os.environ.get("CRSF_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit_table(headers, rows, fmt: str, out) -> None:
@@ -87,11 +71,7 @@ def _resolve_data(args) -> seifert.SeifertData:
     if getattr(args, "lens", None):
         p, q = args.lens
         return seifert.lens_space(p, q)
-    data = seifert.load(args.input)
-    problems = seifert.validate(data)
-    if problems:
-        raise DomainError("; ".join(problems))
-    return data
+    return seifert.load(args.input)
 
 
 def _print_invariant(args, name: str, value, route: str) -> None:
@@ -192,22 +172,9 @@ def cmd_rrk_eta(args) -> int:
 
 
 def cmd_berger(args) -> int:
-    l = parse_rational(args.lambda2)
-    values = {
-        "eta0": berger.berger_eta0(l),
-        "nu": berger.berger_nu(l),
-        "mu": berger.berger_mu(l),
-    }
-    r2, tau2 = berger.berger_webster(l)
-    values["R2"] = r2
-    values["tau2"] = tau2
-    if args.all_identities:
-        values["id_nu_plus_3eta0_is_R2"] = (
-            values["nu"] + 3 * values["eta0"] == r2)
-        values["id_nu_is_3mu_plus_2"] = (
-            values["nu"] == 3 * values["mu"] + 2)
-        values["id_limit_matches"] = (
-            berger.hitchin_eta0_limit(l) == values["eta0"])
+    values = berger.identities(parse_rational(args.lambda2))
+    if not args.all_identities:
+        values = {k: v for k, v in values.items() if not k.startswith("id_")}
     if args.json:
         print(json.dumps({k: fmt_value(v) for k, v in values.items()}))
     else:
@@ -265,47 +232,36 @@ def cmd_obstruction(args) -> int:
 def _sweep_lens(args, out) -> None:
     headers = ("p", "q", "nu", "eta_round", "internal_identity",
                "nu_direct", "nu_compare", "eta_aps", "eta_compare")
-    pairs = list(obstruct.admissible_lens_pairs(args.pmax))
-
-    def build(pq):
-        p, q = pq
+    rows = []
+    for p, q in obstruct.admissible_lens_pairs(args.pmax):
         internal, nu_cmp, eta_cmp = obstruct.lens_report(p, q)
-        return (p, q, nu_cmp.lhs, eta_cmp.lhs, internal.status,
-                nu_cmp.rhs, nu_cmp.status, eta_cmp.rhs, eta_cmp.status)
-
-    rows = _pool_map(build, pairs)
+        rows.append((p, q, nu_cmp.lhs, eta_cmp.lhs, internal.status,
+                     nu_cmp.rhs, nu_cmp.status, eta_cmp.rhs, eta_cmp.status))
     _emit_table(headers, rows, args.format, out)
 
 
 def _sweep_berger(args, out) -> None:
     headers = ("lambda2", "nu", "eta0", "mu", "R2", "tau2",
                "id_sum", "id_mu", "id_curvature")
-    samples = [Fraction(i, 7) + Fraction(1, 3) for i in range(1, args.samples + 1)]
-
-    def build(l):
-        nu_v = berger.berger_nu(l)
-        eta0_v = berger.berger_eta0(l)
-        mu_v = berger.berger_mu(l)
-        r2, tau2 = berger.berger_webster(l)
-        return (l, nu_v, eta0_v, mu_v, r2, tau2,
-                nu_v + 3 * eta0_v == (1 + l) ** 2 / (4 * l),
-                nu_v == 3 * mu_v + 2,
-                nu_v + 3 * eta0_v == r2)
-
-    rows = _pool_map(build, samples)
+    rows = []
+    for i in range(1, args.samples + 1):
+        l = Fraction(i, 7) + Fraction(1, 3)
+        v = berger.identities(l)
+        # berger_webster defines R2 as (1 + l)^2 / (4l), so the sum and
+        # curvature columns are one identity
+        rows.append((l, v["nu"], v["eta0"], v["mu"], v["R2"], v["tau2"],
+                     v["id_nu_plus_3eta0_is_R2"], v["id_nu_is_3mu_plus_2"],
+                     v["id_nu_plus_3eta0_is_R2"]))
     _emit_table(headers, rows, args.format, out)
 
 
 def _sweep_disk(args, out) -> None:
     headers = ("chi", "solutions", "is_half_chi")
-    chis = list(range(-2, args.chimin - 1, -2))
-
-    def build(chi):
+    rows = []
+    for chi in range(-2, args.chimin - 1, -2):
         sols = obstruct.disk_bundle_solve(chi)
-        return (chi, ";".join(str(s) for s in sorted(sols)),
-                sols == {Fraction(chi, 2)})
-
-    rows = _pool_map(build, chis)
+        rows.append((chi, ";".join(str(s) for s in sorted(sols)),
+                     sols == {Fraction(chi, 2)}))
     _emit_table(headers, rows, args.format, out)
 
 

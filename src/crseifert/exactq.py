@@ -66,6 +66,18 @@ def frac(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
+def rational_sqrt(x: Fraction):
+    """Exact square root of a rational, or None when x is negative or not
+    the square of a rational."""
+    if x < 0:
+        return None
+    p, q = x.numerator, x.denominator
+    rp, rq = math.isqrt(p), math.isqrt(q)
+    if rp * rp == p and rq * rq == q:
+        return Fraction(rp, rq)
+    return None
+
+
 def hurwitz_zeta_at_zero(x: Fraction) -> Fraction:
     """Value at s = 0 of the Hurwitz zeta function zeta(s, x), 0 < x <= 1.
 
@@ -190,6 +202,9 @@ class PiLaurent:
         return self._coeffs == other._coeffs
 
     def __hash__(self):
+        # equal to its Fraction when rational, so it must hash like one
+        if self.is_rational():
+            return hash(self.coefficient(0))
         return hash(frozenset(self._coeffs.items()))
 
     def __float__(self):

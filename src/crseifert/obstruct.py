@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dedekind import NonCoprime, dedekind_rademacher
+from .exactq import rational_sqrt
 from .invariants import ROUND_T2, nu, ouyang_eta
 from .seifert import SeifertData, lens_space
 
@@ -77,22 +78,11 @@ def disk_bundle_solve(chi: int) -> set:
     if chi >= 0 or chi % 2 != 0:
         raise ValueError(f"chi must be a negative even integer, got {chi}")
     a, b, c = 4, -4 * chi, chi * chi
-    disc = Fraction(b * b - 4 * a * c)
-    if disc < 0:
-        return set()
-    root = _rational_sqrt(disc)
+    root = rational_sqrt(Fraction(b * b - 4 * a * c))
     if root is None:
         return set()
     candidates = {Fraction(-b + root, 2 * a), Fraction(-b - root, 2 * a)}
     return {d for d in candidates if d < 0}
-
-
-def _rational_sqrt(x: Fraction):
-    p, q = x.numerator, x.denominator
-    rp, rq = math.isqrt(p), math.isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return Fraction(rp, rq)
-    return None
 
 
 def miyaoka_yau_bound(data: SeifertData, int_R2_base=None):

@@ -12,7 +12,6 @@ cross-validation of the whole package.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,42 +72,16 @@ def _periodic_value(alpha: int, c: int) -> Fraction:
                for r in range(1, alpha + 1))
 
 
-def _periodic_value_full_period(data: SeifertData) -> Fraction:
-    """Reference evaluation of the periodic part over the common period
-    A = lcm(alpha_i); must agree with the per-cone sum (additivity of the
-    regularized value).  O(A), so intended for modest periods."""
-    cones = data.cone_points
-    if not cones:
-        return Fraction(0)
-    period = 1
-    for cone in cones:
-        period = math.lcm(period, cone.alpha)
-    residues = [(cone.alpha, _cone_residue(cone)) for cone in cones]
-
-    def g(n: int) -> Fraction:
-        return sum((Fraction(alpha - 1, 2 * alpha)
-                    - Fraction((n * c) % alpha, alpha))
-                   for alpha, c in residues)
-
-    return sum((g(r) - g(-r)) * hurwitz_zeta_at_zero(Fraction(r, period))
-               for r in range(1, period + 1))
-
-
-def regularized_eta_difference(data: SeifertData,
-                               full_period: bool = False) -> EtaBreakdown:
+def regularized_eta_difference(data: SeifertData) -> EtaBreakdown:
     """Value at s = 0 of sum_{n != 0} sgn(n) chi_del(n) / |n|^s.
 
     Constant-in-n terms cancel by odd symmetry; the -n*d term contributes
     -2*d*zeta(-1) = d/6; each cone contributes its Hurwitz-regularized
-    periodic value.  The per-cone route is the default; full_period=True
-    re-evaluates the periodic part over the common period lcm(alpha_i).
+    periodic value.
     """
     affine = -2 * data.degree * zeta_at_minus_one()
-    if full_period:
-        periodic = _periodic_value_full_period(data)
-    else:
-        periodic = sum((_periodic_value(c.alpha, _cone_residue(c))
-                        for c in data.cone_points), Fraction(0))
+    periodic = sum((_periodic_value(c.alpha, _cone_residue(c))
+                    for c in data.cone_points), Fraction(0))
     return EtaBreakdown(affine_part=affine, periodic_part=periodic)
 
 

@@ -186,7 +186,7 @@ def from_json_dict(obj: dict) -> SeifertData:
         try:
             cones.append(ConePoint(int(raw["alpha"]), int(raw["rho"]),
                                    int(raw["beta"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"bad cone point entry: {raw!r}") from exc
     degree = _rational_field(obj["degree"], "degree")
     if "genus" in obj:
@@ -194,7 +194,7 @@ def from_json_dict(obj: dict) -> SeifertData:
             raise DomainError("give either 'genus' or 'chi_orb', not both")
         try:
             genus = int(obj["genus"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"bad genus: {obj['genus']!r}") from exc
         return from_genus(genus, degree, cones)
     if "chi_orb" not in obj:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactq import DomainError
+from .exactq import DomainError, rational_sqrt
 
 
 class NegativeMultiplicity(ValueError):
@@ -83,17 +83,6 @@ class HoloCounts:
         return cls(h0={}, h2={})
 
 
-def _sqrt_exact(x: Fraction):
-    """Exact square root of a non-negative rational, or None."""
-    if x < 0:
-        return None
-    p, q = x.numerator, x.denominator
-    rp, rq = math.isqrt(p), math.isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return Fraction(rp, rq)
-    return None
-
-
 def lambda_pm(k, n: int, eps) -> tuple:
     """The two roots (lambda_plus, lambda_minus) of
     lambda^2 - lambda - (eps*k + eps^2*n^2) = 0.
@@ -111,7 +100,7 @@ def lambda_pm(k, n: int, eps) -> tuple:
         k = Fraction(k)
     if not isinstance(k, float) and not isinstance(eps, float):
         radicand = 1 + 4 * eps * (k + eps * n * n)
-        root = _sqrt_exact(radicand)
+        root = rational_sqrt(radicand)
         if root is not None:
             return (1 + root) / 2, (1 - root) / 2
     kf, ef = float(k), float(eps)
@@ -240,11 +229,11 @@ def load_modes(path) -> list:
                 k = Fraction(k)
             elif isinstance(k, int):
                 k = Fraction(k)
-            elif not isinstance(k, float):
+            elif not isinstance(k, float) or not math.isfinite(k):
                 raise DomainError(f"bad k: {k!r}")
             modes.append(SpectralMode(k=k, n=int(entry["n"]),
                                       mult=int(entry["mult"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"bad mode entry {entry!r}") from exc
     return modes
 
@@ -259,7 +248,7 @@ def load_holo(path) -> HoloCounts:
     try:
         h0 = {int(n): int(m) for n, m in raw.get("h0", {}).items()}
         h2 = {int(n): int(m) for n, m in raw.get("h2", {}).items()}
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"bad holo counts in {path}") from exc
     return HoloCounts(h0=h0, h2=h2)
 

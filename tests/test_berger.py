@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from crseifert.berger import (FRAME_VOLUME, BergerParams, berger_eta0,
-                              berger_mu, berger_nu, berger_webster,
-                              hitchin_eta, hitchin_eta0_limit)
+from crseifert.berger import (FRAME_VOLUME, berger_eta0, berger_mu,
+                              berger_nu, berger_webster, hitchin_eta,
+                              hitchin_eta0_limit, identities)
 from crseifert.exactq import PiLaurent
 from crseifert.invariants import eta0, nu
 from crseifert.seifert import sphere
@@ -41,10 +41,9 @@ def test_hitchin_matches_two_parameter_expansion(l2, l3):
 def test_positivity_required():
     with pytest.raises(ValueError):
         hitchin_eta(1, 0, 1)
-    with pytest.raises(ValueError):
-        berger_eta0(0)
-    with pytest.raises(ValueError):
-        BergerParams(Fraction(-1))
+    for fn in (berger_eta0, berger_webster, berger_mu, berger_nu, identities):
+        with pytest.raises(ValueError, match=r"lambda\^2 must be positive"):
+            fn(0)
 
 
 def test_berger_eta0_values():
@@ -90,6 +89,18 @@ def test_identity_battery():
         assert nu_v + 3 * eta0_v == (1 + l) ** 2 / (4 * l)
         assert nu_v == 3 * mu_v + 2
         assert nu_v + 3 * eta0_v == r2
+
+
+@given(positive_rationals(max_abs=25))
+def test_identities_collects_the_closed_forms(l):
+    values = identities(l)
+    assert list(values) == ["eta0", "nu", "mu", "R2", "tau2",
+                            "id_nu_plus_3eta0_is_R2", "id_nu_is_3mu_plus_2",
+                            "id_limit_matches"]
+    assert (values["eta0"], values["nu"], values["mu"]) == \
+        (berger_eta0(l), berger_nu(l), berger_mu(l))
+    assert (values["R2"], values["tau2"]) == berger_webster(l)
+    assert all(values[k] is True for k in values if k.startswith("id_"))
 
 
 @given(positive_rationals(max_abs=25))

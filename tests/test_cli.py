@@ -127,19 +127,53 @@ def test_sweep_lens(capsys):
     assert out2 == out
 
 
-def test_sweep_respects_thread_cap(capsys, monkeypatch):
-    code, serial = run(capsys, "sweep", "lens", "--pmax", "12")
-    monkeypatch.setenv("CRSF_THREADS", "4")
-    code, pooled = run(capsys, "sweep", "lens", "--pmax", "12")
-    assert code == 0 and pooled == serial
-
-
 def test_sweep_berger(capsys):
     code, out = run(capsys, "sweep", "berger", "--samples", "5", "--format", "md")
     assert code == 0
     rows = [line for line in out.splitlines() if line.startswith("|")]
     assert len(rows) == 2 + 5
     assert all("True" in row for row in rows[2:])
+
+
+def test_sweep_berger_exact_output(capsys):
+    code, out = run(capsys, "sweep", "berger", "--samples", "3")
+    assert code == 0
+    assert out == (
+        "lambda2,nu,eta0,mu,R2,tau2,id_sum,id_mu,id_curvature\n"
+        "10/21,83/280,89/315,-159/280,961/840,121/840,True,True,True\n"
+        "13/21,-43/91,418/819,-75/91,289/273,16/273,True,True,True\n"
+        "16/21,-373/448,311/504,-423/448,1369/1344,25/1344,True,True,True\n")
+
+
+BERGER_3_2 = (("eta0", "5/9"), ("nu", "-5/8"), ("mu", "-7/8"),
+              ("R2", "25/24"), ("tau2", "1/24"))
+BERGER_3_2_IDENTITIES = (("id_nu_plus_3eta0_is_R2", "True"),
+                         ("id_nu_is_3mu_plus_2", "True"),
+                         ("id_limit_matches", "True"))
+
+
+def test_berger_command(capsys):
+    code, out = run(capsys, "berger", "--lambda2", "3/2")
+    assert code == 0
+    assert out == "".join(f"{k} = {v}\n" for k, v in BERGER_3_2)
+
+
+def test_berger_all_identities(capsys):
+    expected = BERGER_3_2 + BERGER_3_2_IDENTITIES
+    code, out = run(capsys, "berger", "--lambda2", "3/2", "--all-identities")
+    assert code == 0
+    assert out == "".join(f"{k} = {v}\n" for k, v in expected)
+    code, out = run(capsys, "berger", "--lambda2", "3/2", "--all-identities",
+                    "--json")
+    assert code == 0
+    assert list(json.loads(out).items()) == list(expected)
+
+
+def test_berger_nonpositive_is_domain_error(capsys):
+    code = main(["berger", "--lambda2", "-1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "domain error: lambda^2 must be positive, got -1\n"
 
 
 def test_sweep_disk(capsys):
@@ -185,3 +219,33 @@ def test_spectrum_infeasible_subtraction(tmp_path, capsys):
     code, _ = run(capsys, "spectrum", "--modes", str(modes),
                   "--holo", str(holo), "--eps", "1/2")
     assert code == 3
+
+
+def test_spectrum_rejects_non_finite_numbers(tmp_path, capsys):
+    modes = tmp_path / "modes.json"
+    holo = tmp_path / "holo.json"
+    holo.write_text(json.dumps({"h0": {"1": float("inf")}}))
+    for entry in ({"k": float("nan"), "n": 1, "mult": 1},
+                  {"k": float("inf"), "n": 2, "mult": 1},
+                  {"k": float("-inf"), "n": 2, "mult": 1},
+                  {"k": 1, "n": float("inf"), "mult": 1},
+                  {"k": 1, "n": 1, "mult": float("nan")}):
+        modes.write_text(json.dumps([entry]))
+        for mode_args in (("--eps", "1/4"), ("--limit",)):
+            code, out = run(capsys, "spectrum", "--modes", str(modes),
+                            *mode_args)
+            assert code == 2 and out == ""
+    modes.write_text(json.dumps([{"k": 1, "n": 1, "mult": 1}]))
+    code, out = run(capsys, "spectrum", "--modes", str(modes),
+                    "--holo", str(holo), "--eps", "1/4")
+    assert code == 2 and out == ""
+
+
+def test_manifold_rejects_infinite_integers(tmp_path, capsys):
+    path = tmp_path / "data.json"
+    for doc in ({"genus": float("inf"), "degree": "-1"},
+                {"genus": 0, "degree": "-1",
+                 "cone_points": [{"alpha": float("inf"), "rho": 1, "beta": 1}]}):
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "nu", "--input", str(path))
+        assert code == 2 and out == ""

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 from crseifert.exactq import (DomainError, ExponentMismatch, ExponentOverflow,
                               LaurentEps, NotInvertible, PiLaurent, frac,
                               hurwitz_zeta_at_zero, mod_inverse,
-                              parse_pilaurent, parse_rational,
+                              parse_pilaurent, parse_rational, rational_sqrt,
                               zeta_at_minus_one)
 
 from conftest import nonzero_rationals
@@ -139,6 +139,28 @@ def test_pilaurent_rational_value():
     assert PiLaurent.zero().rational_value() == 0
     with pytest.raises(ExponentMismatch):
         PiLaurent.pi_power(2).rational_value()
+
+
+def test_pilaurent_hash_matches_equal_rationals():
+    one = PiLaurent.from_rational(1)
+    assert one == 1
+    assert len({one, 1}) == 1
+    assert {one: "x"}.get(1) == "x"
+    assert hash(PiLaurent.zero()) == hash(0)
+    assert hash(PiLaurent.from_rational(Fraction(2, 3))) == hash(Fraction(2, 3))
+
+
+def test_rational_sqrt():
+    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+    assert rational_sqrt(Fraction(0)) == 0
+    assert rational_sqrt(Fraction(2)) is None
+    assert rational_sqrt(Fraction(4, 3)) is None
+    assert rational_sqrt(Fraction(-4)) is None
+
+
+@given(st.fractions(min_value=0, max_value=1000, max_denominator=1000))
+def test_rational_sqrt_of_square(x):
+    assert rational_sqrt(x * x) == x
 
 
 def test_pilaurent_serialization():

@@ -4,7 +4,7 @@ and geometric invariants of compact CR-Seifert 3-manifolds."""
 from .berger import (berger_eta0, berger_mu, berger_nu, berger_webster,
                      hitchin_eta, hitchin_eta0_limit)
 from .dedekind import (NonCoprime, dedekind_fast, dedekind_float_oracle,
-                       dedekind_rademacher, reduce_to_classical)
+                       dedekind_rademacher, dedekind_sum, reduce_to_classical)
 from .exactq import (LaurentEps, PiLaurent, Rational, frac,
                      hurwitz_zeta_at_zero, mod_inverse, zeta_at_minus_one)
 from .invariants import (ROUND_T2, OuyangEta, check_cor15, diabatic_expansion,

@@ -119,7 +119,7 @@ def cmd_eta_dstar(args) -> int:
 
 
 def cmd_dedekind(args) -> int:
-    value = dedekind.dedekind_rademacher(args.alpha, args.rho, args.beta)
+    value = dedekind.dedekind_sum(args.alpha, args.rho, args.beta)
     if args.json:
         print(json.dumps({"invariant": "dedekind_rademacher",
                           "value": str(value),
@@ -164,10 +164,9 @@ def cmd_rrk_eta(args) -> int:
         print(json.dumps({"affine_part": str(breakdown.affine_part),
                           "periodic_part": str(breakdown.periodic_part),
                           "total": str(breakdown.total),
-                          "eta0": str(rrketa.eta0_via_rrk(data))}))
+                          "eta0": str(breakdown.eta0)}))
     else:
-        _print_invariant(args, "eta0", rrketa.eta0_via_rrk(data),
-                         "holomorphic-counting")
+        _print_invariant(args, "eta0", breakdown.eta0, "holomorphic-counting")
     return EXIT_OK
 
 

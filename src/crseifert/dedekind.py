@@ -1,14 +1,19 @@
-"""Dedekind-Rademacher sums by three independent algorithms.
+"""Dedekind-Rademacher sums: one production route and two oracles.
 
-The defining exact algorithm is the sawtooth sum
+The production route, ``dedekind_sum``, normalizes to the classical sum
+(``reduce_to_classical``) and evaluates it by the Euclidean reciprocity
+recursion (``dedekind_fast``) in O(log alpha) integer steps.  Everything
+outside the tests and the verify battery uses it.
+
+The oracles recompute the same value independently, for cross-validation
+only.  ``dedekind_rademacher`` is the defining sawtooth sum
 
     s(alpha, rho, beta) = sum_{k=1}^{alpha-1} ((k*rho/alpha)) ((k*beta/alpha))
 
-with ((x)) = frac(x) - 1/2 off the integers and 0 on them.  A Euclidean
-reciprocity recursion gives the same value in O(log alpha) steps for the
-classical normalization, and a floating cotangent sum serves as a third,
-fully independent oracle.  The three routes are cross-validated in the
-test suite; none of them is allowed to shortcut through another.
+with ((x)) = frac(x) - 1/2 off the integers and 0 on them, O(alpha) in
+exact integers; numpy, when installed, only speeds it up for mid-sized
+alpha.  ``dedekind_float_oracle`` is the floating cotangent sum.  None of
+the three routes is allowed to shortcut through another.
 """
 
 from __future__ import annotations
@@ -17,11 +22,6 @@ import math
 from fractions import Fraction
 
 from .exactq import mod_inverse
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
 
 # Largest alpha for which the int64 vectorized sawtooth sum is provably
 # overflow-free: |sum| <= alpha^3 must stay below 2^63.
@@ -48,11 +48,17 @@ def _sawtooth_sum_scaled(alpha: int, rho: int, beta: int) -> int:
     Residues k*rho mod alpha never vanish for coprime rho, so the
     integer-argument branch of ((x)) never triggers inside the sum.
     """
-    if _np is not None and _NUMPY_ALPHA_MIN <= alpha <= _NUMPY_ALPHA_MAX:
-        k = _np.arange(1, alpha, dtype=_np.int64)
-        a = (k * (rho % alpha)) % alpha
-        b = (k * (beta % alpha)) % alpha
-        return int(_np.sum((2 * a - alpha) * (2 * b - alpha)))
+    if _NUMPY_ALPHA_MIN <= alpha <= _NUMPY_ALPHA_MAX:
+        # imported here so that only this oracle pays numpy's import time
+        try:
+            import numpy as np
+        except ImportError:
+            pass
+        else:
+            k = np.arange(1, alpha, dtype=np.int64)
+            a = (k * (rho % alpha)) % alpha
+            b = (k * (beta % alpha)) % alpha
+            return int(np.sum((2 * a - alpha) * (2 * b - alpha)))
     total = 0
     a = b = 0
     for _ in range(1, alpha):
@@ -63,7 +69,8 @@ def _sawtooth_sum_scaled(alpha: int, rho: int, beta: int) -> int:
 
 
 def dedekind_rademacher(alpha: int, rho: int, beta: int) -> Fraction:
-    """Exact Dedekind-Rademacher sum s(alpha, rho, beta) via the sawtooth sum."""
+    """Exact Dedekind-Rademacher sum s(alpha, rho, beta) via the sawtooth
+    sum; O(alpha), an oracle for ``dedekind_sum``."""
     _check_coprime(alpha, rho, beta)
     if alpha == 1:
         return Fraction(0)
@@ -84,21 +91,30 @@ def dedekind_fast(c: int, alpha: int) -> Fraction:
     """Classical Dedekind sum s(c, alpha) = s(alpha, 1, c) by reciprocity.
 
     Euclidean recursion: s(h, k) = -1/4 + (h^2 + k^2 + 1)/(12hk) - s(k, h),
-    with s(h, k) = s(h mod k, k); O(log alpha) arithmetic steps.
+    with s(h, k) = s(h mod k, k); O(log alpha) arithmetic steps.  Each
+    step adds sign * (h^2 + k^2 + 1 - 3hk)/(12hk) to an integer
+    numerator/denominator pair, reduced once at the end.
     """
     if alpha < 1:
         raise NonCoprime(f"alpha must be positive, got {alpha}")
     if math.gcd(c, alpha) != 1:
         raise NonCoprime(f"need gcd(c, alpha) = 1, got ({c}, {alpha})")
-    total = Fraction(0)
-    sign = 1
+    num, den, sign = 0, 1, 1
     h, k = c % alpha, alpha
     while k > 1:
-        total += sign * (Fraction(-1, 4)
-                         + Fraction(h * h + k * k + 1, 12 * h * k))
+        step = 12 * h * k
+        num = num * step + sign * (h * h + k * k + 1 - 3 * h * k) * den
+        den *= step
         sign = -sign
         h, k = k % h, h
-    return total
+    return Fraction(num, den)
+
+
+def dedekind_sum(alpha: int, rho: int, beta: int) -> Fraction:
+    """Exact Dedekind-Rademacher sum s(alpha, rho, beta): the production
+    route, ``reduce_to_classical`` then ``dedekind_fast``; O(log alpha)."""
+    alpha, c = reduce_to_classical(alpha, rho, beta)
+    return dedekind_fast(c, alpha)
 
 
 def dedekind_float_oracle(alpha: int, rho: int, beta: int) -> float:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dedekind import NonCoprime, dedekind_rademacher
+from .dedekind import NonCoprime, dedekind_sum
 from .exactq import rational_sqrt
 from .invariants import ROUND_T2, nu, ouyang_eta
 from .seifert import SeifertData, lens_space
@@ -100,7 +100,7 @@ def lens_nu_direct(p: int, q: int) -> Fraction:
     """Direct closed form -1/p + 12*s(p, q, 1) for the lens space."""
     if math.gcd(p, q) != 1:
         raise NonCoprime(f"need gcd(p, q) = 1, got ({p}, {q})")
-    return Fraction(-1, p) + 12 * dedekind_rademacher(p, q, 1)
+    return Fraction(-1, p) + 12 * dedekind_sum(p, q, 1)
 
 
 def burns_epstein(chi, d) -> tuple:
@@ -148,7 +148,8 @@ def lens_report(p: int, q: int) -> list:
         status=REPORT_MATCH if nu_value == nu_direct else REPORT_MISMATCH,
     ))
 
-    eta_aps = -4 * dedekind_rademacher(p, q, 1)
+    # -4*s(p, q, 1), with s(p, q, 1) read back from nu_direct = -1/p + 12*s
+    eta_aps = -(nu_direct + Fraction(1, p)) / 3
     rows.append(ReportRow(
         check=f"lens({p},{q}): eta_round vs -4*s(p,q,1)",
         lhs=eta_round, rhs=eta_aps,

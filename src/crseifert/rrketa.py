@@ -30,6 +30,11 @@ class EtaBreakdown:
     def total(self) -> Fraction:
         return self.affine_part + self.periodic_part
 
+    @property
+    def eta0(self) -> Fraction:
+        """eta0 = 1 + 2 * (regularized signed series)."""
+        return 1 + 2 * self.total
+
 
 def _cone_residue(cone) -> int:
     """The classical residue c = beta * rho^{-1} mod alpha driving the
@@ -88,7 +93,7 @@ def regularized_eta_difference(data: SeifertData) -> EtaBreakdown:
 def eta0_via_rrk(data: SeifertData) -> Fraction:
     """eta0 through the holomorphic-counting route:
     1 + 2 * (regularized signed series)."""
-    return 1 + 2 * regularized_eta_difference(data).total
+    return regularized_eta_difference(data).eta0
 
 
 def sphere_h_counts(n: int) -> tuple:

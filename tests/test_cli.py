@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
+import crseifert
 from crseifert.cli import main
 
 
@@ -34,6 +39,27 @@ def test_json_output(capsys):
 def test_dedekind_command(capsys):
     code, out = run(capsys, "dedekind", "3", "1", "1")
     assert code == 0 and out == "1/18\n"
+
+
+def test_dedekind_command_large_alpha(capsys):
+    alpha = 1_000_000_007
+    code, out = run(capsys, "dedekind", str(alpha), "1", "1")
+    assert code == 0
+    assert out == f"{Fraction((alpha - 1) * (alpha - 2), 12 * alpha)}\n"
+
+
+def test_import_and_nu_leave_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(crseifert.__file__))
+    script = ("import sys, crseifert\n"
+              "assert 'numpy' not in sys.modules\n"
+              "from crseifert.cli import main\n"
+              "assert main(['nu', '--lens', '3', '2']) == 0\n"
+              "assert 'numpy' not in sys.modules\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "-11/3\n"
 
 
 def test_ouyang_polynomial(capsys):

@@ -6,15 +6,21 @@ exact arithmetic, with no shortcuts shared with the library code.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from crseifert import dedekind
+from crseifert.cli import main
 from crseifert.dedekind import (NonCoprime, dedekind_fast,
                                 dedekind_float_oracle, dedekind_rademacher,
-                                reduce_to_classical)
+                                dedekind_sum, reduce_to_classical)
+from crseifert.invariants import check_cor15, eta0, eta_dstar, nu
+from crseifert.obstruct import lens_report
+from crseifert.seifert import ConePoint, from_genus
 
 from conftest import coprime_triples
 
@@ -93,12 +99,40 @@ def test_sawtooth_matches_brute_force(triple):
         dedekind_brute(alpha, rho, beta)
 
 
-@given(coprime_triples(max_alpha=3000))
-@settings(max_examples=60)
+# The explicit examples sit on both sides of the sawtooth's numpy branch
+# (512 <= alpha <= 2*10^6) and at the top of the drawn range.
+@given(coprime_triples(max_alpha=200_000))
+@example((511, 2, 3))
+@example((512, 3, 5))
+@example((199_999, 7, -11))
+@settings(max_examples=60, deadline=None)
 def test_sawtooth_matches_fast_reciprocity(triple):
     alpha, rho, beta = triple
-    _, c = reduce_to_classical(alpha, rho, beta)
-    assert dedekind_rademacher(alpha, rho, beta) == dedekind_fast(c, alpha)
+    assert dedekind_rademacher(alpha, rho, beta) == dedekind_sum(alpha, rho, beta)
+
+
+def test_sawtooth_without_numpy(monkeypatch):
+    with_numpy = dedekind_rademacher(1009, 3, 5)
+    monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
+    assert dedekind_rademacher(1009, 3, 5) == with_numpy == \
+        dedekind_sum(1009, 3, 5)
+
+
+def test_production_route_skips_the_sawtooth(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the production route summed the sawtooth")
+    monkeypatch.setattr(dedekind, "_sawtooth_sum_scaled", refuse)
+    with pytest.raises(AssertionError):
+        dedekind_rademacher(3, 1, 1)
+    data = from_genus(1, Fraction(-7, 5),
+                      [ConePoint(101, 7, 33), ConePoint(9973, 12, 5)])
+    eta0(data)
+    nu(data)
+    eta_dstar(data)
+    assert check_cor15(data)
+    assert len(lens_report(1001, 17)) == 3
+    assert main(["dedekind", "1999993", "3", "5"]) == 0
+    assert capsys.readouterr().out == "22221277781/1999993\n"
 
 
 @given(coprime_triples(max_alpha=500))

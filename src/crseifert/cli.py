@@ -89,7 +89,7 @@ def _parse_integral(text: str):
         return parse_pilaurent(text)
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise DomainError(f"not a pi-multiple or float: {text!r}")
 
 

@@ -68,8 +68,7 @@ def check_dedekind() -> list:
         units = [u for u in range(1, alpha + 1) if math.gcd(u, alpha) == 1]
         rho, beta = rng.choice(units), rng.choice(units)
         saw = dedekind.dedekind_rademacher(alpha, rho, beta)
-        _, c = dedekind.reduce_to_classical(alpha, rho, beta)
-        fast = dedekind.dedekind_fast(c, alpha)
+        fast = dedekind.dedekind_sum(alpha, rho, beta)
         if saw != fast:
             worst = saw - fast
             break

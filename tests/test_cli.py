@@ -4,6 +4,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import crseifert
 from crseifert.cli import main
 
@@ -62,6 +64,20 @@ def test_import_and_nu_leave_numpy_unloaded():
     assert proc.stdout == "-11/3\n"
 
 
+@pytest.mark.parametrize("scope", ["dedekind", "all"])
+def test_verify_leaves_numpy_unloaded(scope):
+    src = os.path.dirname(os.path.dirname(crseifert.__file__))
+    script = ("import sys\n"
+              "from crseifert.cli import main\n"
+              f"code = main(['verify', {scope!r}])\n"
+              "assert 'numpy' not in sys.modules\n"
+              "sys.exit(code)\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_ouyang_polynomial(capsys):
     code, out = run(capsys, "ouyang", "--sphere")
     assert code == 0 and out == "2/3 + -2/3*t^2 + 1/6*t^4\n"
@@ -88,6 +104,13 @@ def test_nu_with_supplied_integral(capsys):
     # constant-curvature base integral for the sphere: 8*pi
     code, out = run(capsys, "nu", "--sphere", "--int-r2-base", "8*pi")
     assert code == 0 and out == "-1\n"
+
+
+def test_supplied_integral_too_large_for_a_float(capsys):
+    code = main(["nu", "--lens", "3", "2", "--int-r2-base", "1e400"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("schema error: not a pi-multiple or float: ")
 
 
 def test_schema_error_exit_code(tmp_path, capsys):

@@ -100,10 +100,10 @@ def test_sawtooth_matches_brute_force(triple):
 
 
 # The explicit examples sit on both sides of the sawtooth's numpy branch
-# (512 <= alpha <= 2*10^6) and at the top of the drawn range.
+# (2048 <= alpha <= 2*10^6) and at the top of the drawn range.
 @given(coprime_triples(max_alpha=200_000))
-@example((511, 2, 3))
-@example((512, 3, 5))
+@example((2047, 2, 3))
+@example((2048, 3, 5))
 @example((199_999, 7, -11))
 @settings(max_examples=60, deadline=None)
 def test_sawtooth_matches_fast_reciprocity(triple):
@@ -112,10 +112,23 @@ def test_sawtooth_matches_fast_reciprocity(triple):
 
 
 def test_sawtooth_without_numpy(monkeypatch):
-    with_numpy = dedekind_rademacher(1009, 3, 5)
+    with_numpy = dedekind_rademacher(4099, 3, 5)
     monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
-    assert dedekind_rademacher(1009, 3, 5) == with_numpy == \
-        dedekind_sum(1009, 3, 5)
+    assert dedekind_rademacher(4099, 3, 5) == with_numpy == \
+        dedekind_sum(4099, 3, 5)
+
+
+@pytest.mark.parametrize("numpy_blocked", [False, True])
+def test_sawtooth_independent_of_production_route(monkeypatch, numpy_blocked):
+    expected = dedekind_sum(4099, 7, -11)
+
+    def refuse(*args):
+        raise AssertionError("the sawtooth oracle used the production route")
+    for name in ("reduce_to_classical", "dedekind_fast", "mod_inverse"):
+        monkeypatch.setattr(dedekind, name, refuse)
+    if numpy_blocked:
+        monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy fails
+    assert dedekind_rademacher(4099, 7, -11) == expected
 
 
 def test_production_route_skips_the_sawtooth(monkeypatch, capsys):

@@ -47,3 +47,10 @@ def nonzero_rationals(draw, max_abs=50):
 def positive_rationals(draw, max_abs=50):
     return Fraction(draw(st.integers(min_value=1, max_value=max_abs)),
                     draw(st.integers(min_value=1, max_value=max_abs)))
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--regen-golden", action="store_true",
+        help="rewrite each tests/golden record from the current CLI output "
+             "instead of comparing with it")

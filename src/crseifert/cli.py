@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 verify-battery assertion failure, 2 schema
 violation in an input file or literal, 3 domain error (e.g. non-negative
 degree, failed gcd condition).  All output is deterministic: identical
 inputs yield byte-identical output.
+
+Each subcommand imports the modules it uses when it runs, so a call loads
+only those: interpreter start and imports are most of a call's cost.
 """
 
 from __future__ import annotations
@@ -13,21 +16,24 @@ import json
 import sys
 from fractions import Fraction
 
-from . import berger, dedekind, invariants, obstruct, rrketa, seifert, spectrum
-from . import verify as verify_mod
 from .exactq import (DomainError, ExponentMismatch, ExponentOverflow,
-                     NotInvertible, PiLaurent, parse_pilaurent, parse_rational)
-from .seifert import GcdCondition, InvalidConePoint, NotPseudoconvex
+                     PiLaurent, parse_pilaurent, parse_rational)
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_SCHEMA = 2
 EXIT_DOMAIN = 3
 
+# DomainError is a ValueError, so the schema row must come first.  Every
+# other domain exception of the package (NotPseudoconvex, InvalidConePoint,
+# GcdCondition, NonCoprime, NotInvertible, NegativeMultiplicity, ...) is a
+# ValueError too; the two pi-exponent errors are ArithmeticErrors.
 _SCHEMA_ERRORS = (DomainError,)
-_DOMAIN_ERRORS = (NotPseudoconvex, InvalidConePoint, GcdCondition,
-                  dedekind.NonCoprime, NotInvertible, ExponentMismatch,
-                  ExponentOverflow, spectrum.NegativeMultiplicity, ValueError)
+_DOMAIN_ERRORS = (ExponentMismatch, ExponentOverflow, ValueError)
+
+# verify.scopes(), spelt out so that building the parser imports no module.
+VERIFY_SCOPES = ("exactq", "dedekind", "seifert", "invariants", "rrketa",
+                 "berger", "spectrum", "obstruct")
 
 
 def fmt_value(value) -> str:
@@ -65,7 +71,8 @@ def _add_input_options(sub) -> None:
                        help="the standard sphere")
 
 
-def _resolve_data(args) -> seifert.SeifertData:
+def _resolve_data(args):
+    from . import seifert
     if getattr(args, "sphere", False):
         return seifert.sphere()
     if getattr(args, "lens", None):
@@ -94,6 +101,7 @@ def _parse_integral(text: str):
 
 
 def cmd_nu(args) -> int:
+    from . import invariants
     data = _resolve_data(args)
     if args.int_r2_base is not None:
         value = invariants.nu(data, _parse_integral(args.int_r2_base))
@@ -106,12 +114,14 @@ def cmd_nu(args) -> int:
 
 
 def cmd_eta0(args) -> int:
+    from . import invariants
     data = _resolve_data(args)
     _print_invariant(args, "eta0", invariants.eta0(data), "closed-form")
     return EXIT_OK
 
 
 def cmd_eta_dstar(args) -> int:
+    from . import invariants
     data = _resolve_data(args)
     _print_invariant(args, "eta_dstar", invariants.eta_dstar(data),
                      "constant-curvature")
@@ -119,6 +129,7 @@ def cmd_eta_dstar(args) -> int:
 
 
 def cmd_dedekind(args) -> int:
+    from . import dedekind
     value = dedekind.dedekind_sum(args.alpha, args.rho, args.beta)
     if args.json:
         print(json.dumps({"invariant": "dedekind_rademacher",
@@ -130,6 +141,7 @@ def cmd_dedekind(args) -> int:
 
 
 def cmd_ouyang(args) -> int:
+    from . import invariants
     data = _resolve_data(args)
     if args.t2 is not None:
         value = invariants.ouyang_eta(data, parse_rational(args.t2))
@@ -146,6 +158,7 @@ def cmd_ouyang(args) -> int:
 
 
 def cmd_diabatic(args) -> int:
+    from . import invariants
     data = _resolve_data(args)
     exp = invariants.diabatic_expansion(data)
     if args.json:
@@ -158,6 +171,7 @@ def cmd_diabatic(args) -> int:
 
 
 def cmd_rrk_eta(args) -> int:
+    from . import rrketa
     data = _resolve_data(args)
     breakdown = rrketa.regularized_eta_difference(data)
     if args.breakdown:
@@ -171,6 +185,7 @@ def cmd_rrk_eta(args) -> int:
 
 
 def cmd_berger(args) -> int:
+    from . import berger
     values = berger.identities(parse_rational(args.lambda2))
     if not args.all_identities:
         values = {k: v for k, v in values.items() if not k.startswith("id_")}
@@ -183,6 +198,7 @@ def cmd_berger(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import spectrum
     modes = spectrum.load_modes(args.modes)
     holo = (spectrum.load_holo(args.holo) if args.holo
             else spectrum.HoloCounts.empty())
@@ -202,6 +218,7 @@ def _report_rows(rows) -> list:
 
 
 def cmd_lens(args) -> int:
+    from . import obstruct
     rows = obstruct.lens_report(args.p, args.q)
     _emit_table(("check", "lhs", "rhs", "status"), _report_rows(rows),
                 args.format, sys.stdout)
@@ -209,6 +226,7 @@ def cmd_lens(args) -> int:
 
 
 def cmd_obstruction(args) -> int:
+    from . import obstruct
     data = _resolve_data(args)
     integer_nu = obstruct.check_integer_nu(data)
     chi2 = obstruct.check_chi2_over_4d(data.chi_orb, data.degree)
@@ -229,6 +247,7 @@ def cmd_obstruction(args) -> int:
 
 
 def _sweep_lens(args, out) -> None:
+    from . import obstruct
     headers = ("p", "q", "nu", "eta_round", "internal_identity",
                "nu_direct", "nu_compare", "eta_aps", "eta_compare")
     rows = []
@@ -240,6 +259,7 @@ def _sweep_lens(args, out) -> None:
 
 
 def _sweep_berger(args, out) -> None:
+    from . import berger
     headers = ("lambda2", "nu", "eta0", "mu", "R2", "tau2",
                "id_sum", "id_mu", "id_curvature")
     rows = []
@@ -255,6 +275,7 @@ def _sweep_berger(args, out) -> None:
 
 
 def _sweep_disk(args, out) -> None:
+    from . import obstruct
     headers = ("chi", "solutions", "is_half_chi")
     rows = []
     for chi in range(-2, args.chimin - 1, -2):
@@ -275,7 +296,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rows = verify_mod.run(args.scope)
+    from . import obstruct, verify
+    rows = verify.run(args.scope)
     _emit_table(("check", "lhs", "rhs", "status"), _report_rows(rows),
                 args.format, sys.stdout)
     failures = sum(1 for r in rows if r.is_hard_failure())
@@ -363,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("verify", help="run the identity battery")
     s.add_argument("scope", nargs="?", default="all",
-                   choices=["all"] + verify_mod.scopes())
+                   choices=("all",) + VERIFY_SCOPES)
     s.add_argument("--format", choices=("csv", "md", "json"), default="csv")
     s.set_defaults(fn=cmd_verify)
 

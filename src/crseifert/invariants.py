@@ -12,14 +12,14 @@ metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dedekind import dedekind_sum
 # Unused here; perfbench's tracer self-test wraps the oracle in this namespace.
 from .dedekind import dedekind_rademacher  # noqa: F401
 from .exactq import ExponentMismatch, LaurentEps, PiLaurent
-from .seifert import GeomIntegrals, SeifertData, geom_integrals_const
+from .seifert import (FrozenRecord, GeomIntegrals, SeifertData,
+                      geom_integrals_const)
 
 # Parameter of the round metric in our normalization (fibers of length
 # 2*pi over the curvature-2 base): the closed-form eta vanishes there.
@@ -78,17 +78,19 @@ def zeta_deltaH(int_R2: PiLaurent) -> PiLaurent:
     return int_R2 / 512
 
 
-@dataclass(frozen=True)
-class OuyangEta:
+class OuyangEta(FrozenRecord):
     """The closed-form eta of the metric family t^2*theta^2 + gamma, as a
     polynomial c0 + c1*t^2 + c2*t^4 in t^2.
 
     c0 is the renormalized invariant eta0; c1 = -chi/3; c2 = -d/6.
     """
 
-    c0: Fraction
-    c1: Fraction
-    c2: Fraction
+    _fields = ("c0", "c1", "c2")
+
+    def __init__(self, c0: Fraction, c1: Fraction, c2: Fraction):
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
 
     def __call__(self, t2) -> Fraction:
         t2 = Fraction(t2)

@@ -12,19 +12,20 @@ cross-validation of the whole package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactq import frac, hurwitz_zeta_at_zero, mod_inverse, zeta_at_minus_one
-from .seifert import SeifertData
+from .seifert import FrozenRecord, SeifertData
 
 
-@dataclass(frozen=True)
-class EtaBreakdown:
+class EtaBreakdown(FrozenRecord):
     """Regularized eta difference split into its affine and periodic parts."""
 
-    affine_part: Fraction
-    periodic_part: Fraction
+    _fields = ("affine_part", "periodic_part")
+
+    def __init__(self, affine_part: Fraction, periodic_part: Fraction):
+        object.__setattr__(self, "affine_part", affine_part)
+        object.__setattr__(self, "periodic_part", periodic_part)
 
     @property
     def total(self) -> Fraction:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactq import DomainError, PiLaurent, parse_rational
@@ -32,14 +31,50 @@ class GcdCondition(ValueError):
     """The lens-space decomposition needs gcd(q - 1, p) = 1."""
 
 
-@dataclass(frozen=True)
-class ConePoint:
+class FrozenRecord:
+    """Base of the package's immutable value records, in place of a frozen
+    dataclass: importing ``dataclasses`` pulls in ``inspect``, ``ast``,
+    ``dis`` and ``tokenize``, several ms on every CLI call.  A subclass
+    names its fields in ``_fields`` and sets them in its own ``__init__``
+    with ``object.__setattr__`` (a generic ``__init__`` is measurably slower
+    on the invariant path); repr, ==, hash and the refusal of assignment
+    match ``@dataclass(frozen=True)``."""
+
+    _fields = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ConePoint(FrozenRecord):
     """Orbifold point data: local group Z/alpha acting on the base chart
     with rotation number rho and on the fiber with rotation number beta."""
 
-    alpha: int
-    rho: int
-    beta: int
+    _fields = ("alpha", "rho", "beta")
+
+    def __init__(self, alpha: int, rho: int, beta: int):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "beta", beta)
 
     def check(self) -> None:
         if self.alpha < 2:
@@ -51,33 +86,33 @@ class ConePoint:
             raise InvalidConePoint(f"rho, beta must be prime to alpha: {self}")
 
 
-@dataclass(frozen=True)
-class SeifertData:
+class SeifertData(FrozenRecord):
     """Global data: rational degree d < 0, orbifold Euler characteristic
     chi, cone points.  Construction does not validate; use from_genus for
     checked construction or validate() for diagnostics."""
 
-    degree: Fraction
-    chi_orb: Fraction
-    cone_points: tuple = field(default_factory=tuple)
+    _fields = ("degree", "chi_orb", "cone_points")
 
-    def __post_init__(self):
-        object.__setattr__(self, "degree", Fraction(self.degree))
-        object.__setattr__(self, "chi_orb", Fraction(self.chi_orb))
+    def __init__(self, degree, chi_orb, cone_points=()):
+        object.__setattr__(self, "degree", Fraction(degree))
+        object.__setattr__(self, "chi_orb", Fraction(chi_orb))
         object.__setattr__(self, "cone_points",
-                           tuple(_as_cone(c) for c in self.cone_points))
+                           tuple(_as_cone(c) for c in cone_points))
 
 
-@dataclass(frozen=True)
-class GeomIntegrals:
+class GeomIntegrals(FrozenRecord):
     """The four geometric integrals feeding the invariant formulas:
     volume, curvature, squared curvature and squared torsion integrals
     over the total space."""
 
-    vol: PiLaurent
-    int_R: PiLaurent
-    int_R2: PiLaurent
-    int_tau2: PiLaurent
+    _fields = ("vol", "int_R", "int_R2", "int_tau2")
+
+    def __init__(self, vol: PiLaurent, int_R: PiLaurent, int_R2: PiLaurent,
+                 int_tau2: PiLaurent):
+        object.__setattr__(self, "vol", vol)
+        object.__setattr__(self, "int_R", int_R)
+        object.__setattr__(self, "int_R2", int_R2)
+        object.__setattr__(self, "int_tau2", int_tau2)
 
 
 def _as_cone(c) -> ConePoint:
@@ -89,7 +124,7 @@ def _as_cone(c) -> ConePoint:
 def from_genus(g: int, degree, cone_points=()) -> SeifertData:
     """Checked constructor: chi = 2 - 2g - sum_i (1 - 1/alpha_i)."""
     if g < 0:
-        raise DomainError(f"genus must be >= 0, got {g}")
+        raise ValueError(f"genus must be >= 0, got {g}")
     degree = Fraction(degree)
     if degree >= 0:
         raise NotPseudoconvex(f"degree must be negative, got {degree}")
@@ -108,7 +143,7 @@ def lens_space(p: int, q: int) -> SeifertData:
     decomposition does not apply otherwise.
     """
     if p < 2:
-        raise DomainError(f"p must be >= 2, got {p}")
+        raise ValueError(f"p must be >= 2, got {p}")
     if math.gcd(p, q) != 1:
         raise GcdCondition(f"need gcd(p, q) = 1, got ({p}, {q})")
     if math.gcd(q - 1, p) != 1:

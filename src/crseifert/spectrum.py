@@ -95,7 +95,7 @@ def lambda_pm(k, n: int, eps) -> tuple:
     if not isinstance(eps, float):
         eps = Fraction(eps)
     if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps}")
+        raise ValueError(f"eps must be positive, got {eps}")
     if isinstance(k, int):
         k = Fraction(k)
     if not isinstance(k, float) and not isinstance(eps, float):

@@ -298,3 +298,48 @@ def test_manifold_rejects_infinite_integers(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         code, out = run(capsys, "nu", "--input", str(path))
         assert code == 2 and out == ""
+
+
+EXIT_CASES = [
+    # value-range errors are domain errors, exit 3
+    (["nu", "--lens", "1", "1"], 3, "domain error: p must be >= 2, got 1"),
+    (["rrk-eta", "--lens", "0", "1"], 3, "domain error: p must be >= 2, got 0"),
+    (["nu", "--input", "manifold-negative-genus.json"], 3,
+     "domain error: genus must be >= 0, got -1"),
+    (["spectrum", "--modes", "modes.json", "--eps", "0"], 3,
+     "domain error: eps must be positive, got 0"),
+    (["spectrum", "--modes", "modes.json", "--eps", "-1"], 3,
+     "domain error: eps must be positive, got -1"),
+    (["nu", "--input", "manifold-positive-degree.json"], 3,
+     "domain error: degree must be negative"),
+    (["nu", "--input", "manifold-bad-cone.json"], 3,
+     "domain error: rho, beta must be prime to alpha"),
+    (["lens", "4", "2"], 3, "domain error: need gcd(p, q) = 1"),
+    (["dedekind", "4", "2", "1"], 3, "domain error: need gcd(rho, alpha)"),
+    (["berger", "--lambda2", "0"], 3, "domain error: lambda^2 must be positive"),
+    # parse and shape errors stay schema errors, exit 2
+    (["berger", "--lambda2", "abc"], 2, "schema error: not a rational: 'abc'"),
+    (["nu", "--lens", "3", "2", "--int-r2-base", "abc"], 2,
+     "schema error: not a pi-multiple or float"),
+    (["spectrum", "--modes", "modes.json"], 2,
+     "schema error: --eps is required unless --limit is given"),
+    (["spectrum", "--modes", "holo.json", "--limit"], 2,
+     "schema error: mode file must hold a JSON list"),
+    (["nu", "--input", "holo.json"], 2,
+     "schema error: unknown keys in manifold description"),
+    (["nu", "--input", "no-such-file.json"], 2, "i/o error: "),
+    (["verify", "nosuch"], 2, "usage: crseifert verify"),
+]
+
+
+@pytest.mark.parametrize("argv,code,prefix", EXIT_CASES,
+                         ids=[" ".join(case[0]) for case in EXIT_CASES])
+def test_exit_code_table(argv, code, prefix, capsys, monkeypatch):
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), "golden"))
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (code, "")
+    assert captured.err.startswith(prefix)
